@@ -460,6 +460,12 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// what stopped the slice. All evaluation state lives in the engine
     /// struct between calls — no thread ever parks inside. `budget` is
     /// clamped to ≥ 1 so every step makes progress.
+    ///
+    /// Output contract: everything the slice emitted is in the sink when
+    /// `step` returns `Yielded`, `NeedInput` or `Finished` — the writer's
+    /// sink is flushed once per slice. A sink may therefore stage writes
+    /// locally and publish them on `flush` (the session writer does),
+    /// paying its hand-over cost once per slice rather than once per tag.
     pub fn step(&mut self, budget: u32) -> StepOutcome {
         if self.complete {
             return StepOutcome::Err(EngineError::MissingData(
@@ -473,7 +479,14 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         }
         let budget = budget.max(1);
         let t0 = Instant::now();
-        let result = self.drive(budget);
+        let mut result = self.drive(budget);
+        // `Finished` flushed in `Frame::End`; a suspended slice hands its
+        // output over here. A failed flush fails the run.
+        if matches!(&result, Ok(None)) || matches!(&result, Err(e) if e.is_need_input()) {
+            if let Err(e) = self.writer.flush() {
+                result = Err(e.into());
+            }
+        }
         let slice = t0.elapsed();
         self.run_elapsed += slice;
         match result {
@@ -1820,6 +1833,70 @@ mod tests {
         assert_eq!(String::from_utf8(out).unwrap(), reference);
         assert!(need_input > 0, "the blocky reader must surface NeedInput");
         assert_eq!(report.safety, Some(true));
+    }
+
+    /// A sink that, like the session writer, stages writes and makes
+    /// them visible only on `flush`. Shared state: (visible, written).
+    struct StagingSink {
+        staged: Vec<u8>,
+        shared: Arc<std::sync::Mutex<(Vec<u8>, usize)>>,
+    }
+
+    impl Write for StagingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.staged.extend_from_slice(buf);
+            self.shared.lock().unwrap().1 += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.shared.lock().unwrap().0.append(&mut self.staged);
+            Ok(())
+        }
+    }
+
+    /// The step output contract: every suspended slice (`Yielded` or
+    /// `NeedInput`) leaves what it emitted in the sink, so the first
+    /// step that emits a tag makes it visible without waiting for a
+    /// later slice or the end of the run.
+    #[test]
+    fn each_step_leaves_its_output_in_the_sink() {
+        let query = "<r>{ for $b in /bib/book return $b/title }</r>";
+        let doc = "<bib><book><title>A</title></book><book><title>B</title></book></bib>";
+        let mut tags = TagInterner::new();
+        let compiled = compile_default(query, &mut tags).unwrap();
+        let shared = Arc::new(std::sync::Mutex::new((Vec::new(), 0usize)));
+        let sink = StagingSink {
+            staged: Vec::new(),
+            shared: shared.clone(),
+        };
+        let input = BlockyReader {
+            data: doc.as_bytes(),
+            pos: 0,
+            turn: false,
+        };
+        let mut engine =
+            GcxEngine::new(&compiled, &mut tags, input, sink, EngineOptions::default());
+        let mut first_tag_seen = false;
+        loop {
+            let outcome = engine.step(1);
+            let (visible, written) = shared.lock().unwrap().clone();
+            assert_eq!(visible.len(), written, "a slice left output staged");
+            if !first_tag_seen && written > 0 {
+                assert_eq!(visible, b"<r>", "the first emitting step publishes its tag");
+                first_tag_seen = true;
+            }
+            match outcome {
+                StepOutcome::Yielded | StepOutcome::NeedInput => {}
+                StepOutcome::Finished(_) => break,
+                other => panic!("unexpected step outcome: {other:?}"),
+            }
+        }
+        assert!(first_tag_seen);
+        assert_eq!(
+            shared.lock().unwrap().0,
+            b"<r><title>A</title><title>B</title></r>"
+        );
     }
 
     /// A closed output gate parks the engine without running anything;

@@ -15,9 +15,10 @@
 //!   workers + a bounded [`gcx_service::EvaluatorPool`]) replaces
 //!   one-thread-per-session: each worker multiplexes its non-blocking
 //!   sockets over an `epoll(7)` readiness loop and drives sessions with
-//!   the non-blocking `try_feed` API. Blocked connections sleep until a
-//!   socket event or a session-progress eventfd wakeup — no polling
-//!   anywhere, so an idle server uses no CPU.
+//!   the non-blocking `try_feed` / `drain_into` calls.
+//!   Blocked connections sleep until a socket event or a
+//!   session-progress eventfd wakeup — no polling anywhere, so an idle
+//!   server uses no CPU.
 //!
 //! Hand-rolled over `std::net` — the build environment is offline (no
 //! hyper/tokio), the same constraint that produced `crates/compat`; even

@@ -7,7 +7,7 @@
 //!   acceptor ── round-robin ──► N connection workers, each an
 //!               (eventfd +      epoll(7) readiness loop over its
 //!                inbox)         own set of connections
-//!                                    │ try_feed / drain
+//!                                    │ try_feed / drain_into
 //!                                    ▼
 //!                            M evaluator-pool threads
 //!                            (gcx-service EvaluatorPool)
@@ -16,7 +16,8 @@
 //! `1 + N + M` threads total, **independent of how many sessions are
 //! open**: connection workers never block on any single socket — sockets
 //! are non-blocking and sessions are driven through
-//! [`StreamSession::try_feed`], so a backpressured or slow connection
+//! [`StreamSession::try_feed`] and
+//! [`StreamSession::drain_into`], so a backpressured or slow connection
 //! simply sleeps in its worker's epoll set while others are served.
 //! A worker parks in `epoll_wait` until one of exactly three wake
 //! sources fires: socket readiness (edge-triggered epoll events),
@@ -52,7 +53,7 @@ use crate::metrics::{self, NetMetrics, ReqClass};
 use crate::stats_json;
 use gcx_buffer::LiveBufferStats;
 use gcx_obs::{log_debug, log_warn, FlightRecorder, SpanKind};
-use gcx_service::{EvaluatorPool, QueryService, ServiceConfig, StreamSession, TryFeed};
+use gcx_service::{EvaluatorPool, QueryService, ServiceConfig, StreamSession};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -923,15 +924,10 @@ struct BodyState {
     /// Decoded body bytes not yet accepted by `try_feed`.
     pending: Vec<u8>,
     pending_pos: usize,
+    /// At least one body byte was admitted into the session.
+    fed: bool,
     /// All input fed and `close_input` called.
     input_closed: bool,
-    /// Output produced after the upload completed, held back until the
-    /// session's verdict: emitting it would commit us to a 200, and with
-    /// the input already closed the verdict is at most one evaluation
-    /// away — so completed uploads that fail get a clean 4xx instead of
-    /// a racy truncated 200. (Mid-upload output streams immediately;
-    /// that is the whole point of the engine.)
-    held: Vec<u8>,
     /// Socket saw EOF.
     saw_eof: bool,
     /// Reuse the connection for another request after this response.
@@ -981,6 +977,12 @@ struct Conn {
     recv: Vec<u8>,
     send: Vec<u8>,
     send_pos: usize,
+    /// Engine output drained from the session and not yet encoded into
+    /// `send`. Reused for every drain of a request: an empty buffer is
+    /// swapped with the session's ([`StreamSession::drain_into`]), so
+    /// output reaches `send` with one copy. While the response head is
+    /// unsent, output may be *held* here (see `step_body`).
+    out: Vec<u8>,
     /// Reusable socket-read scratch (sized lazily to `io_chunk_bytes`).
     scratch: Vec<u8>,
     state: ConnState,
@@ -1051,6 +1053,7 @@ impl Conn {
             recv: Vec::new(),
             send: Vec::new(),
             send_pos: 0,
+            out: Vec::new(),
             scratch: Vec::new(),
             state: ConnState::Head,
             last_progress: Instant::now(),
@@ -1136,14 +1139,16 @@ impl Conn {
     /// pipelined requests must not be dropped with the response).
     fn finish_response(&mut self, shared: &Arc<ServerShared>, close: bool) -> StepResult {
         if let Some(t0) = self.req_start.take() {
-            let elapsed = t0.elapsed();
-            shared.metrics.request_class(self.req_class).record(elapsed);
-            if self.trace_id != 0 {
-                self.finish_trace(shared, elapsed);
-            }
+            shared
+                .metrics
+                .request_class(self.req_class)
+                .record(t0.elapsed());
         }
         self.trace_id = 0;
         self.ttfb_pending = false;
+        // Drop the drain buffer's capacity with the request: an idle
+        // keep-alive connection should not pin a large response's buffer.
+        self.out = Vec::new();
         // A drain that began mid-response still ends the connection at
         // this boundary, even if the response itself negotiated
         // keep-alive before the drain started.
@@ -1156,11 +1161,28 @@ impl Conn {
         StepResult::Progress
     }
 
-    /// Completes the in-flight request's trace: flush instant, the
-    /// whole-request span, the keep decision (head-sampled or slow), and
-    /// the slow-request log line with its per-stage breakdown.
-    fn finish_trace(&mut self, shared: &Arc<ServerShared>, elapsed: Duration) {
+    /// Closes the in-flight request's trace just before its terminal
+    /// bytes (final chunk, error or simple response) are queued: the
+    /// completion instant, the whole-request span, the keep decision
+    /// (head-sampled or slow), and the slow-request log line with its
+    /// per-stage breakdown. Deciding here rather than after the final
+    /// flush means a client that has read its whole response always
+    /// finds the trace in `/trace`. The trace ID is cleared afterwards:
+    /// the kept snapshot is final.
+    fn complete_trace(&mut self, shared: &Arc<ServerShared>) {
+        if self.trace_id == 0 {
+            return;
+        }
+        let Some(t0) = self.req_start else {
+            return;
+        };
+        let elapsed = t0.elapsed();
         let rec = &shared.recorder;
+        if self.ttfb_pending {
+            // Nothing is on the wire yet: the first byte goes out with
+            // the burst queued now.
+            rec.record_instant(self.trace_id, SpanKind::FirstByte, 0, 0);
+        }
         rec.record_instant(self.trace_id, SpanKind::Flush, 0, 0);
         let dur_ns = elapsed.as_nanos() as u64;
         let start = rec.now_ns().saturating_sub(dur_ns);
@@ -1195,6 +1217,7 @@ impl Conn {
                 stages
             );
         }
+        self.trace_id = 0;
     }
 
     fn step_head(&mut self, shared: &Arc<ServerShared>) -> StepResult {
@@ -1225,6 +1248,7 @@ impl Conn {
                     // Framing is untrustworthy after a malformed head;
                     // answer and close.
                     self.respond_simple(
+                        shared,
                         400,
                         "Bad Request",
                         &format!("malformed request: {e}\n"),
@@ -1246,6 +1270,7 @@ impl Conn {
             // Body bytes may already be piling in behind a complete head;
             // only an actually-unterminated head this large is an error.
             self.respond_simple(
+                shared,
                 431,
                 "Request Header Fields Too Large",
                 "head too large\n",
@@ -1336,17 +1361,18 @@ impl Conn {
                 // Unparseable Content-Length: the body's extent is
                 // unknowable, so the connection cannot be reused —
                 // answer and close.
-                self.respond_simple_typed(status, reason, content_type, body, false);
+                self.respond_simple_typed(shared, status, reason, content_type, body, false);
                 return;
             }
         };
         match framing {
             None if keep => {
-                self.respond_simple_typed(status, reason, content_type, body, true);
+                self.respond_simple_typed(shared, status, reason, content_type, body, true);
             }
             // A client waiting for `100 Continue` never sends the body —
             // draining would stall until the timeout; close instead.
             Some(f) if keep && !head.expects_continue() && drainable(&f) => {
+                self.complete_trace(shared);
                 self.send.extend_from_slice(&http::simple_response(
                     status,
                     reason,
@@ -1361,7 +1387,7 @@ impl Conn {
                     sink: Vec::new(),
                 }));
             }
-            _ => self.respond_simple_typed(status, reason, content_type, body, false),
+            _ => self.respond_simple_typed(shared, status, reason, content_type, body, false),
         }
     }
 
@@ -1399,7 +1425,7 @@ impl Conn {
         } else {
             match head.content_length() {
                 Err(e) => {
-                    self.respond_simple(400, "Bad Request", &format!("{e}\n"), false);
+                    self.respond_simple(shared, 400, "Bad Request", &format!("{e}\n"), false);
                     return;
                 }
                 Ok(Some(n)) => BodyFraming::Length(n),
@@ -1420,7 +1446,7 @@ impl Conn {
         // Head-based sampling over *query* requests (counted separately
         // from trace IDs, which every request class mints): the first
         // query is always kept, then every `trace_sample_every`th. Slow
-        // requests are kept retroactively in `finish_trace` regardless.
+        // requests are kept retroactively in `complete_trace` regardless.
         let queries_seen = shared.queries_seen.fetch_add(1, Ordering::Relaxed);
         self.trace_keep =
             shared.trace_sample_every > 0 && queries_seen.is_multiple_of(shared.trace_sample_every);
@@ -1489,8 +1515,8 @@ impl Conn {
             sent_head: false,
             pending: Vec::new(),
             pending_pos: 0,
+            fed: false,
             input_closed: false,
-            held: Vec::new(),
             saw_eof: false,
             keep,
             chunked_response,
@@ -1605,11 +1631,15 @@ impl Conn {
                 Err(e) => {
                     finish_registry(shared, body.session_id, None);
                     // Framing is lost mid-stream: answer (when the
-                    // head is still unsent) and close.
+                    // head is still unsent) and close. Held output dies
+                    // with the request.
+                    self.out.clear();
                     if body.sent_head {
+                        self.complete_trace(shared);
                         self.state = ConnState::Flush { close: true };
                     } else {
                         self.respond_simple(
+                            shared,
                             400,
                             "Bad Request",
                             &format!("malformed chunked body: {e}\n"),
@@ -1628,39 +1658,19 @@ impl Conn {
         // 4. Feed decoded payload into the session. Non-blocking: a full
         //    queue parks the connection, not the worker thread. Slices
         //    are bounded so one offer can always fit the memory budget.
-        //    While our own send buffer is backed up (client not reading),
-        //    feeding continues but *undrained*: `try_feed` would move the
-        //    unread response into `send` without bound, whereas leaving
-        //    it in the session engages the per-session output
-        //    high-water/hard-cap machinery — the never-draining client
-        //    fails its session instead of growing the server.
-        let mut output = Vec::new();
-        let send_ok = self.send.len() - self.send_pos < SEND_HIGH_WATER;
+        //    Feeding never drains; output is pulled in step 6.
         while body.pending_pos < body.pending.len() {
             let chunk_end = (body.pending_pos + shared.feed_chunk_bytes).min(body.pending.len());
-            let chunk = &body.pending[body.pending_pos..chunk_end];
-            let fed = if send_ok {
-                body.session.try_feed(chunk).map(|r| match r {
-                    TryFeed::Fed(out) => (true, out),
-                    TryFeed::Busy(out) => (false, out),
-                })
-            } else {
-                body.session
-                    .try_feed_undrained(chunk)
-                    .map(|a| (a, Vec::new()))
-            };
-            match fed {
-                Ok((admitted, out)) => {
-                    if !out.is_empty() {
-                        output.extend_from_slice(&out);
-                        progress = true;
-                    }
-                    if !admitted {
-                        break;
-                    }
+            match body
+                .session
+                .try_feed(&body.pending[body.pending_pos..chunk_end])
+            {
+                Ok(true) => {
                     body.pending_pos = chunk_end;
+                    body.fed = true;
                     progress = true;
                 }
+                Ok(false) => break,
                 Err(e) => {
                     self.session_failed(shared, &mut body, &e.to_string());
                     return StepResult::Progress; // body (and session) dropped here
@@ -1682,11 +1692,14 @@ impl Conn {
         }
 
         // 6. Pull output the engine has produced meanwhile — unless our
-        //    own send buffer is already backed up.
+        //    own send buffer is backed up (client not reading): draining
+        //    then would move the unread response into `send` without
+        //    bound, whereas leaving it in the session engages the
+        //    per-session output high-water/hard-cap machinery, and the
+        //    never-draining client fails its session instead of growing
+        //    the server.
         if self.send.len() - self.send_pos < SEND_HIGH_WATER {
-            let drained = body.session.drain();
-            if !drained.is_empty() {
-                output.extend_from_slice(&drained);
+            if body.session.drain_into(&mut self.out) > 0 {
                 progress = true;
             }
             // 7. Completed? With the input freshly closed the verdict is
@@ -1697,49 +1710,60 @@ impl Conn {
             //    step made progress, so a genuinely slow evaluation
             //    parks as before.
             if body.input_closed {
-                let mut outcome = body.session.take_outcome();
-                if outcome.is_none() && progress {
+                let mut finished = body.session.is_finished();
+                if !finished && progress {
                     for _ in 0..32 {
                         std::thread::yield_now();
-                        outcome = body.session.take_outcome();
-                        if outcome.is_some() {
+                        finished = body.session.is_finished();
+                        if finished {
                             break;
                         }
                     }
                 }
-                if let Some(outcome) = outcome {
-                    match outcome {
-                        Ok(ok) => {
-                            let mut full = std::mem::take(&mut body.held);
-                            full.extend_from_slice(&output);
-                            full.extend_from_slice(&ok.output);
-                            self.emit_output(&mut body, &full);
+                if finished {
+                    // Drain before taking the verdict: a failed outcome
+                    // carries no output, and what the engine wrote before
+                    // failing still belongs to an already-started body.
+                    body.session.drain_into(&mut self.out);
+                    match body.session.take_outcome() {
+                        Some(Ok(ok)) => {
+                            self.out.extend_from_slice(&ok.output);
+                            self.emit_output(&mut body);
+                            finish_registry(shared, body.session_id, Some(&ok.report));
+                            self.complete_trace(shared);
                             if body.chunked_response {
                                 self.send.extend_from_slice(http::FINAL_CHUNK);
                             }
-                            finish_registry(shared, body.session_id, Some(&ok.report));
                             // A close-delimited (HTTP/1.0) body is only
                             // terminated by the close itself.
                             let close = !body.keep || !body.chunked_response;
                             self.state = ConnState::Flush { close };
                             return StepResult::Progress; // body dropped (already finished)
                         }
-                        Err(e) => {
+                        Some(Err(e)) => {
                             self.session_failed(shared, &mut body, &e.to_string());
                             return StepResult::Progress;
                         }
+                        None => unreachable!("a finished session has an outcome"),
                     }
                 }
             }
         }
-        if !output.is_empty() {
-            if body.input_closed {
-                // Upload complete, verdict pending: hold (see `held`).
-                body.held.extend_from_slice(&output);
-            } else {
-                self.emit_output(&mut body, &output);
-            }
-            progress = true;
+        // While the head is unsent, output is *held* in `out` in two
+        // cases, because emitting it would commit us to a 200:
+        // - before any body byte reached the session, the output is the
+        //   query's constant prologue: holding it costs no earliness the
+        //   document could have earned, and a body that is malformed from
+        //   its first byte still gets a clean 4xx;
+        // - after the upload completed, the verdict is at most one
+        //   evaluation away, so a completed upload that fails gets a
+        //   clean 4xx instead of a truncated 200.
+        // Once the head is on the wire a failure can only abort the body,
+        // so holding would just delay bytes and grow memory: output
+        // streams. (Mid-upload output always streams; that is the whole
+        // point of the engine.)
+        if !self.out.is_empty() && (body.sent_head || (body.fed && !body.input_closed)) {
+            self.emit_output(&mut body);
         }
 
         self.state = ConnState::Body(body);
@@ -1750,10 +1774,11 @@ impl Conn {
         }
     }
 
-    /// Appends engine output to the response, sending the lazy 200 head
-    /// first when needed (always called at completion, even with empty
-    /// output, so the terminating chunk never goes out headless).
-    fn emit_output(&mut self, body: &mut BodyState, output: &[u8]) {
+    /// Moves the drained engine output (`out`) into the response,
+    /// sending the lazy 200 head first when needed (always called at
+    /// completion, even with empty output, so the terminating chunk never
+    /// goes out headless).
+    fn emit_output(&mut self, body: &mut BodyState) {
         if !body.sent_head {
             body.sent_head = true;
             if body.chunked_response {
@@ -1777,14 +1802,16 @@ impl Conn {
             }
         }
         if body.chunked_response {
-            http::encode_chunk(output, &mut self.send);
+            http::encode_chunk(&self.out, &mut self.send);
         } else {
-            self.send.extend_from_slice(output);
+            self.send.extend_from_slice(&self.out);
         }
+        self.out.clear();
     }
 
     /// Terminates a failed session: a clean 422 if the head is still
-    /// unsent, otherwise an aborted (truncated) chunked body — the only
+    /// unsent (held output is dropped), otherwise the output produced so
+    /// far followed by an aborted (truncated) chunked body — the only
     /// honest signal once a 200 is on the wire (and the connection must
     /// close; the next request would be indistinguishable from body
     /// bytes otherwise).
@@ -1803,14 +1830,18 @@ impl Conn {
                 .fetch_add(1, Ordering::Relaxed);
         }
         if body.sent_head {
+            self.emit_output(body);
+            self.complete_trace(shared);
             self.state = ConnState::Flush { close: true };
         } else {
+            self.out.clear();
             // Reuse is only sound when the request body was consumed in
             // full; a session that died mid-upload leaves the rest of
             // the body in the pipe.
             let keep =
                 body.keep && body.framing.complete() && body.pending_pos >= body.pending.len();
             self.respond_simple(
+                shared,
                 422,
                 "Unprocessable Entity",
                 &format!("query failed: {msg}\n"),
@@ -1842,8 +1873,17 @@ impl Conn {
                 self.peer
             );
             finish_registry(shared, session_id, None);
+            // A request that dies of idleness is not traced: the 408
+            // below is a farewell before teardown, not a response.
+            self.trace_id = 0;
             if !sent_head {
-                self.respond_simple(408, "Request Timeout", "connection idle too long\n", false);
+                self.respond_simple(
+                    shared,
+                    408,
+                    "Request Timeout",
+                    "connection idle too long\n",
+                    false,
+                );
             }
         }
         // Best-effort farewell; teardown closes regardless. (An idle
@@ -1857,18 +1897,27 @@ impl Conn {
 
     /// Replaces the connection's future with a fixed response; `keep`
     /// loops back to the next request after the flush.
-    fn respond_simple(&mut self, status: u16, reason: &str, body: &str, keep: bool) {
-        self.respond_simple_typed(status, reason, TEXT_PLAIN, body, keep);
+    fn respond_simple(
+        &mut self,
+        shared: &Arc<ServerShared>,
+        status: u16,
+        reason: &str,
+        body: &str,
+        keep: bool,
+    ) {
+        self.respond_simple_typed(shared, status, reason, TEXT_PLAIN, body, keep);
     }
 
     fn respond_simple_typed(
         &mut self,
+        shared: &Arc<ServerShared>,
         status: u16,
         reason: &str,
         content_type: &str,
         body: &str,
         keep: bool,
     ) {
+        self.complete_trace(shared);
         self.send.extend_from_slice(&http::simple_response(
             status,
             reason,

@@ -5,6 +5,9 @@
 
 use gcx_net::{client, http, GcxServer, NetConfig};
 use gcx_xml::TagInterner;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 const QUERY: &str = "<r>{ for $b in /bib/book return $b/title }</r>";
@@ -35,13 +38,36 @@ fn query_path(query: &str) -> String {
     format!("/query?xq={}", http::percent_encode(query))
 }
 
+/// The tests in this file share one process, and
+/// `eight_concurrent_clients_mixed_queries_and_chunked_uploads` counts
+/// the process's server threads: it holds this lock exclusively, so no
+/// other test's server threads come and go while it samples; the others
+/// share it.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+fn shared_process() -> RwLockReadGuard<'static, ()> {
+    PROCESS.read().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Threads of this process named like GCX server threads (acceptor,
+/// connection workers, pool evaluators, dedicated session evaluators all
+/// start with `gcx-`). The test harness's own threads and the tests'
+/// client threads do not count.
 #[cfg(target_os = "linux")]
-fn process_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+fn server_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+        tasks
+            .filter_map(Result::ok)
+            .filter(|t| {
+                std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c.starts_with("gcx-"))
+            })
+            .count()
+    })
 }
 
 #[test]
 fn single_request_matches_in_process_engine() {
+    let _process = shared_process();
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let doc = make_doc(50);
@@ -54,6 +80,7 @@ fn single_request_matches_in_process_engine() {
 
 #[test]
 fn named_query_and_health_endpoints() {
+    let _process = shared_process();
     let config = NetConfig {
         queries: vec![("titles".to_string(), QUERY.to_string())],
         ..Default::default()
@@ -75,6 +102,7 @@ fn named_query_and_health_endpoints() {
 
 #[test]
 fn compile_error_yields_400_and_stream_error_yields_422() {
+    let _process = shared_process();
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let bad_query = client::post(addr, &query_path("<r>{ $undefined }</r>"), b"<a/>").unwrap();
@@ -87,8 +115,110 @@ fn compile_error_yields_400_and_stream_error_yields_422() {
     server.shutdown();
 }
 
+/// Opens a connection and sends a `POST /query` head announcing
+/// `body_len` bytes of body, followed by `first` (head and `first` in one
+/// write, so they arrive together).
+fn open_post(addr: std::net::SocketAddr, query: &str, body_len: usize, first: &[u8]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut req = format!(
+        "POST {} HTTP/1.1\r\nHost: gcx\r\nContent-Length: {body_len}\r\n\
+         Connection: close\r\n\r\n",
+        query_path(query)
+    )
+    .into_bytes();
+    req.extend_from_slice(first);
+    stream.write_all(&req).unwrap();
+    stream
+}
+
+/// Splits raw response bytes into the head and the decoded chunked body
+/// received so far; the flag tells whether the terminating chunk came.
+fn decode_chunked(raw: &[u8]) -> Option<(String, Vec<u8>, bool)> {
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
+    let (mut rest, mut body) = (&raw[head_end..], Vec::new());
+    loop {
+        let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
+            return Some((head, body, false));
+        };
+        let size =
+            usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap(), 16).unwrap();
+        if size == 0 {
+            return Some((head, body, true));
+        }
+        let data = &rest[line_end + 2..];
+        if data.len() < size + 2 {
+            return Some((head, body, false));
+        }
+        body.extend_from_slice(&data[..size]);
+        rest = &data[size + 2..];
+    }
+}
+
+/// The document fails after results were produced, but the whole upload
+/// arrived before any of them went out: the output is held until the
+/// verdict, so the client gets a clean 422 instead of a truncated 200.
+#[test]
+fn failure_before_any_output_is_sent_gets_a_clean_4xx() {
+    let _process = shared_process();
+    let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let doc = b"<bib><book><title>A</title></book><book><title>B</title></book><oops></bib>";
+    let mut stream = open_post(server.local_addr(), QUERY, doc.len(), doc);
+    let resp = client::read_response(&mut stream).unwrap();
+    assert_eq!(resp.status, 422, "body: {}", resp.text());
+    assert!(resp.text().contains("query failed"), "{}", resp.text());
+    assert_eq!(server.active_sessions(), 0);
+    server.shutdown();
+}
+
+/// Once the 200 head and output are on the wire, a failure can only
+/// abort the body: the client gets every result produced before the
+/// failure — including those produced after the upload completed — and
+/// a chunked body without its terminating chunk, then the close.
+#[test]
+fn failure_after_output_started_aborts_the_chunked_body() {
+    let _process = shared_process();
+    let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let first: &[u8] = b"<bib><book><title>A</title></book>";
+    let rest: &[u8] = b"<book><title>B</title></book><oops></bib>";
+    let mut stream = open_post(server.local_addr(), QUERY, first.len() + rest.len(), first);
+    // Wait until the first result is on the wire: the head went out.
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed before the first result");
+        raw.extend_from_slice(&buf[..n]);
+        if decode_chunked(&raw).is_some_and(|(_, body, _)| body.ends_with(b"<title>A</title>")) {
+            break;
+        }
+    }
+    stream.write_all(rest).unwrap();
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+        }
+    }
+    let (head, body, terminated) = decode_chunked(&raw).expect("a response head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(
+        String::from_utf8_lossy(&body),
+        "<r><title>A</title><title>B</title>"
+    );
+    assert!(
+        !terminated,
+        "a failed body must not end with the terminating chunk"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
+    let _process = PROCESS.write().unwrap_or_else(|p| p.into_inner());
     let server = GcxServer::bind(
         "127.0.0.1:0",
         NetConfig {
@@ -99,8 +229,22 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
     )
     .unwrap();
     let addr = server.local_addr();
+    // A spawned thread names itself once it runs: wait until every
+    // server thread carries its name before taking the baseline.
     #[cfg(target_os = "linux")]
-    let threads_before = process_threads();
+    let threads_before = {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server_threads() < server.thread_count() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} of {} server threads named after 10 s",
+                server_threads(),
+                server.thread_count()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server_threads()
+    };
     #[cfg(not(target_os = "linux"))]
     let threads_before = 0usize;
 
@@ -126,11 +270,15 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
                 })
             })
             .collect();
-        // Sample the process thread count while clients are in flight.
+        // Sample the server thread count until every client is done, so
+        // the peak covers the moments sessions are open.
+        #[allow(unused_mut)]
+        let mut sampled = 0usize;
         #[cfg(target_os = "linux")]
-        let sampled = process_threads();
-        #[cfg(not(target_os = "linux"))]
-        let sampled = 0usize;
+        while !handles.iter().all(|h| h.is_finished()) {
+            sampled = sampled.max(server_threads());
+            std::thread::yield_now();
+        }
         (
             handles.into_iter().map(|h| h.join().unwrap()).collect(),
             sampled,
@@ -148,12 +296,11 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
             "client {i}: wire output must be byte-identical to run_gcx"
         );
     }
-    // No worker-pool leak: the server's thread count is fixed; the only
-    // extra threads during the burst are the 8 client threads this test
-    // spawned itself.
+    // No worker-pool leak: the server's thread count is fixed, so the
+    // burst of eight sessions adds no server thread.
     #[cfg(target_os = "linux")]
     assert!(
-        threads_during <= threads_before + 8,
+        threads_during <= threads_before,
         "server must not spawn per-session threads: {threads_before} before, \
          {threads_during} during"
     );
@@ -172,6 +319,7 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
 
 #[test]
 fn mid_stream_disconnect_cancels_session_cleanly() {
+    let _process = shared_process();
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let doc = make_doc(100);
@@ -215,6 +363,7 @@ fn mid_stream_disconnect_cancels_session_cleanly() {
 
 #[test]
 fn stats_report_live_mid_stream_buffer_figures() {
+    let _process = shared_process();
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let doc = make_doc(100);
@@ -252,6 +401,7 @@ fn stats_report_live_mid_stream_buffer_figures() {
 
 #[test]
 fn metrics_exposition_covers_requests_stages_and_sessions() {
+    let _process = shared_process();
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
     // Large enough that the sampled stage timers (1 in 512 pump steps)
@@ -340,6 +490,7 @@ fn has_positive_field(json: &str, name: &str) -> bool {
 
 #[test]
 fn document_larger_than_memory_budget_streams_through() {
+    let _process = shared_process();
     // The acceptance shape: a document far larger than the global memory
     // budget flows end to end because the engine buffer stays minimized
     // and I/O is bounded — the budget only trips if buffering actually
@@ -370,6 +521,7 @@ fn document_larger_than_memory_budget_streams_through() {
 
 #[test]
 fn shutdown_with_connection_in_flight_does_not_hang() {
+    let _process = shared_process();
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let doc = make_doc(50);

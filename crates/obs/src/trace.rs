@@ -61,9 +61,12 @@ pub enum SpanKind {
     HeadParse = 2,
     /// Session waited for an evaluator-pool thread.
     QueueWait = 3,
-    /// First response byte on the wire (instant).
+    /// First response byte on the wire (instant). A response whose
+    /// bytes all go out in the final burst records it when that burst
+    /// is queued.
     FirstByte = 4,
-    /// Response fully flushed (instant).
+    /// Response complete: its last bytes are queued for the wire and the
+    /// trace's keep decision is made (instant).
     Flush = 5,
     /// Engine stage: lexing one token.
     Lex = 6,

@@ -30,7 +30,7 @@ pub use budget::MemoryBudget;
 pub use metrics::SessionMetrics;
 pub use pool::EvaluatorPool;
 pub use service::{normalize_query, BatchJob, QueryService, ServiceConfig, ServiceStats};
-pub use session::{ProgressWaker, SessionConfig, SessionOutcome, StreamSession, TryFeed};
+pub use session::{ProgressWaker, SessionConfig, SessionOutcome, StreamSession};
 
 use gcx_query::CompileError;
 use std::fmt;

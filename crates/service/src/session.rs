@@ -35,6 +35,22 @@
 //! malformed stream fails this session and surfaces on the next call,
 //! nothing else.
 //!
+//! ## Output handoff
+//!
+//! The engine writes into a [`SessionWriter`] that stages bytes locally
+//! and publishes them to the shared output buffer (one lock) at most a
+//! few times per slice: at the first tag boundary of the slice (so the
+//! first result of a slice is not held back for the slice's duration),
+//! whenever `STAGE_FLUSH_BYTES` are staged, and at slice end
+//! ([`GcxEngine::step`] flushes its sink before it returns). Waiters
+//! are woken on *edges* only: `space_available` and the
+//! [`SessionConfig::progress_waker`] fire when the shared output goes
+//! from empty to non-empty (a consumer that left output pending already
+//! holds a wakeup, so later pushes need not repeat it), when a read frees
+//! input space for a caller that was refused it, and on termination.
+//! [`StreamSession::drain_into`] hands the output over by swapping
+//! buffers, so a steady-state driver drains without allocating.
+//!
 //! ## Session state machine
 //!
 //! `feed* → (drain | feed)* → finish` — or `cancel` at any point.
@@ -112,8 +128,9 @@ pub struct SessionConfig {
     /// all. `None` keeps the one-thread-per-session behaviour.
     pub pool: Option<EvaluatorPool>,
     /// Called from the evaluator side whenever the session makes
-    /// progress a parked caller could act on: input consumed (queue
-    /// space freed), output produced, or the evaluator terminating.
+    /// progress a parked caller could act on: input consumed after a
+    /// caller was refused queue space, output produced into an empty
+    /// output buffer, or the evaluator terminating.
     /// Drivers that park backpressured sessions (gcx-net's connection
     /// loop) hang their readiness wakeup here instead of sleep-polling.
     /// Must be cheap and must not call back into the session.
@@ -170,34 +187,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// Result of a [`StreamSession::try_feed`] attempt. Both variants carry
-/// every output byte the engine has produced so far (drained exactly
-/// once).
-#[derive(Debug)]
-pub enum TryFeed {
-    /// The chunk was admitted (or discarded because evaluation already
-    /// completed — one-shot semantics, matching [`StreamSession::feed`]).
-    Fed(Vec<u8>),
-    /// The input queue or budget is full; the chunk was **not** admitted.
-    /// Re-offer it after draining — parking the session meanwhile — or
-    /// fall back to the blocking [`StreamSession::feed`].
-    Busy(Vec<u8>),
-}
-
-impl TryFeed {
-    /// The drained output, whichever variant.
-    pub fn output(self) -> Vec<u8> {
-        match self {
-            TryFeed::Fed(out) | TryFeed::Busy(out) => out,
-        }
-    }
-
-    /// True when the chunk was admitted (or the session had completed).
-    pub fn accepted(&self) -> bool {
-        matches!(self, TryFeed::Fed(_))
-    }
-}
-
 /// Everything a finished session hands back.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
@@ -223,6 +212,10 @@ struct State {
     /// the scheduler's ready queue). Used for queue-wait metrics and to
     /// attribute cancellations of never-started sessions.
     started: bool,
+    /// A caller was refused input space (`try_feed` returned `false`, or
+    /// `feed` is about to wait): the evaluator's next read that frees
+    /// queue space wakes it. Reads wake nobody otherwise.
+    space_wanted: bool,
     /// Engine output not yet handed to the caller (budget-accounted).
     output: Vec<u8>,
     /// Set exactly once when the evaluator ends.
@@ -234,7 +227,8 @@ struct Shared {
     /// Signaled when input arrives or the session closes/cancels (a
     /// dedicated evaluator thread parked on need-input re-checks).
     data_available: Condvar,
-    /// Signaled when the evaluator consumes input, produces output, or
+    /// Signaled when the evaluator consumes input a waiting caller
+    /// wanted space for, produces output into an empty buffer, or
     /// terminates — anything a caller blocked in `feed` can act on.
     space_available: Condvar,
     /// Signaled when the caller drains output (a dedicated evaluator
@@ -272,14 +266,36 @@ impl Shared {
     /// Takes the undrained output, returning its bytes to the budget and
     /// waking an evaluator parked on the output high-water mark.
     fn take_output(&self, st: &mut State, budget: &Option<Arc<MemoryBudget>>) -> Vec<u8> {
-        let out = std::mem::take(&mut st.output);
-        if let Some(b) = budget {
-            b.release(out.len());
-        }
-        if !out.is_empty() {
-            self.output_drained.notify_all();
-        }
+        let mut out = Vec::new();
+        self.take_output_into(st, budget, &mut out);
         out
+    }
+
+    /// [`Self::take_output`] into `dst`: swaps buffers when `dst` is
+    /// empty (the session keeps `dst`'s capacity for its next output, so
+    /// a driver that drains into one reused buffer allocates nothing),
+    /// appends otherwise. Returns the number of bytes moved.
+    fn take_output_into(
+        &self,
+        st: &mut State,
+        budget: &Option<Arc<MemoryBudget>>,
+        dst: &mut Vec<u8>,
+    ) -> usize {
+        let n = st.output.len();
+        if n == 0 {
+            return 0;
+        }
+        if dst.is_empty() {
+            std::mem::swap(dst, &mut st.output);
+        } else {
+            dst.extend_from_slice(&st.output);
+            st.output.clear();
+        }
+        if let Some(b) = budget {
+            b.release(n);
+        }
+        self.output_drained.notify_all();
+        n
     }
 
     /// Discards undrained output and queued input, returning their bytes
@@ -340,11 +356,14 @@ impl Read for ChunkReader {
             if let Some(b) = &self.budget {
                 b.release(n);
             }
-            self.shared.space_available.notify_all();
-            drop(st);
-            // Queue space freed: a parked driver can re-offer its
-            // pending chunk.
-            self.shared.wake_progress();
+            // Queue space freed: a caller refused space can re-offer its
+            // pending chunk. Wake only such a caller (an edge), not one
+            // per read.
+            if std::mem::take(&mut st.space_wanted) {
+                self.shared.space_available.notify_all();
+                drop(st);
+                self.shared.wake_progress();
+            }
             return Ok(n);
         }
         if st.closed {
@@ -354,16 +373,24 @@ impl Read for ChunkReader {
     }
 }
 
-/// The evaluator-side `Write`: appends to the shared output buffer so
-/// callers see results incrementally.
+/// The evaluator-side `Write`: hands engine output to the shared output
+/// buffer once per slice, so callers see results incrementally without
+/// paying a lock and a wakeup per tag.
 ///
-/// `XmlWriter` emits several tiny writes per tag (`<`, name, `>`); taking
-/// the session mutex for each would triple lock traffic for no benefit.
-/// Writes are staged in a lock-free local micro-buffer and pushed to the
-/// shared buffer on *tag boundaries* — whenever the staged bytes end with
-/// `>`, which escaped character data never does — so the lock is taken
-/// once per tag while incremental delivery (every complete tag is
-/// immediately visible to `feed`/`drain`) is preserved.
+/// Writes are staged in a local buffer and pushed (one lock) in three
+/// cases:
+///
+/// 1. at the **first tag boundary of each slice** — the first time the
+///    staged bytes end with `>` (which escaped character data never
+///    does) after a `flush` — so a slice's first result is visible at
+///    once instead of after the rest of the slice (time to first byte);
+/// 2. whenever [`STAGE_FLUSH_BYTES`] are staged, bounding what a slice
+///    holds back;
+/// 3. on `flush`, which [`GcxEngine::step`] calls at the end of every
+///    slice: everything a slice emitted is published when it returns.
+///
+/// A push wakes waiters (`space_available`, the progress waker) only
+/// when the shared output was empty before it; see the module docs.
 ///
 /// The writer never parks: output backpressure is the engine's output
 /// *gate* (checked between steps), not a blocking write. A push only
@@ -374,10 +401,14 @@ struct SessionWriter {
     budget: Option<Arc<MemoryBudget>>,
     /// Locally staged bytes not yet pushed to the shared buffer.
     staged: Vec<u8>,
+    /// No push yet in the current slice: the next tag boundary publishes
+    /// (case 1 above). Re-armed by every `flush`.
+    eager: bool,
 }
 
-/// Safety valve: push even mid-tag once this much is staged (a single
-/// enormous text node must not sit invisible in the micro-buffer).
+/// Push even mid-slice (or mid-tag) once this much is staged: a large
+/// slice or a single enormous text node must not sit invisible in the
+/// stage.
 const STAGE_FLUSH_BYTES: usize = 8 * 1024;
 
 impl SessionWriter {
@@ -403,6 +434,7 @@ impl SessionWriter {
                 self.shared.output_max_bytes,
             )));
         }
+        let was_empty = backlog == 0;
         st.output.extend_from_slice(&self.staged);
         if let Some(b) = &self.budget {
             // Soft accounting: an engine mid-emit cannot fail cleanly, so
@@ -410,6 +442,12 @@ impl SessionWriter {
             b.force_reserve(self.staged.len());
         }
         self.staged.clear();
+        self.eager = false;
+        if !was_empty {
+            // Whoever left the earlier output pending holds a wakeup
+            // for it already; `feed` waiters re-check `output`.
+            return Ok(());
+        }
         // Fresh output can also unblock a caller waiting for queue space
         // in `feed`: it wakes, drains, the gate reopens, the evaluator
         // consumes input (the amplifying-query case: gate closed while
@@ -425,14 +463,20 @@ impl SessionWriter {
 impl Write for SessionWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.staged.extend_from_slice(buf);
-        if self.staged.last() == Some(&b'>') || self.staged.len() >= STAGE_FLUSH_BYTES {
+        if (self.eager && self.staged.last() == Some(&b'>'))
+            || self.staged.len() >= STAGE_FLUSH_BYTES
+        {
             self.push_staged()?;
         }
         Ok(buf.len())
     }
 
+    /// Slice end: publish everything staged and re-arm the eager first
+    /// tag for the next slice.
     fn flush(&mut self) -> io::Result<()> {
-        self.push_staged()
+        self.push_staged()?;
+        self.eager = true;
+        Ok(())
     }
 }
 
@@ -729,6 +773,7 @@ impl StreamSession {
                 closed: false,
                 cancelled: false,
                 started: false,
+                space_wanted: false,
                 output: Vec::new(),
                 done: None,
             }),
@@ -749,6 +794,7 @@ impl StreamSession {
             shared: shared.clone(),
             budget: budget.clone(),
             staged: Vec::new(),
+            eager: true,
         };
         let mut engine = EngineTask::new(compiled, tags, reader, writer, config.engine);
         {
@@ -852,8 +898,8 @@ impl StreamSession {
             if st.input_bytes == 0 || st.input_bytes + chunk.len() <= self.input_queue_bytes {
                 if let Some(b) = &self.budget {
                     if !b.try_reserve(chunk.len()) {
-                        collected
-                            .extend_from_slice(&self.shared.take_output(&mut st, &self.budget));
+                        self.shared
+                            .take_output_into(&mut st, &self.budget, &mut collected);
                         drop(st);
                         self.wake_evaluator();
                         return Err(ServiceError::BudgetExceeded {
@@ -873,9 +919,11 @@ impl StreamSession {
             // the gate if the engine parked on it), wake the evaluator,
             // and wait for space. The predicate is re-checked under the
             // re-acquired lock, so a consume/push/done between the wake
-            // and the wait cannot be lost (all three notify
-            // `space_available`).
-            collected.extend_from_slice(&self.shared.take_output(&mut st, &self.budget));
+            // and the wait cannot be lost: all three notify
+            // `space_available` — a consume because `space_wanted` is
+            // set, a push because the output is empty when we wait.
+            self.shared
+                .take_output_into(&mut st, &self.budget, &mut collected);
             drop(st);
             self.wake_evaluator();
             st = self.shared.lock();
@@ -886,13 +934,15 @@ impl StreamSession {
             {
                 continue;
             }
+            st.space_wanted = true;
             st = self
                 .shared
                 .space_available
                 .wait(st)
                 .unwrap_or_else(|p| p.into_inner());
         }
-        collected.extend_from_slice(&self.shared.take_output(&mut st, &self.budget));
+        self.shared
+            .take_output_into(&mut st, &self.budget, &mut collected);
         drop(st);
         self.wake_evaluator();
         Ok(collected)
@@ -909,6 +959,7 @@ impl StreamSession {
         let mut output = Vec::new();
         loop {
             match self.feed(chunk) {
+                Ok(out) if output.is_empty() => return Ok(out),
                 Ok(out) => {
                     output.extend_from_slice(&out);
                     return Ok(output);
@@ -936,96 +987,82 @@ impl StreamSession {
     }
 
     /// Non-blocking [`feed`](Self::feed): never waits for queue space or
-    /// the budget. The session's output produced so far is always handed
-    /// back; [`TryFeed::Busy`] means the chunk was **not** admitted and
-    /// should be re-offered once siblings drain — the connection-loop
-    /// shape of gcx-net, where a worker parks a backpressured session
-    /// and serves other connections instead of blocking a thread on it.
-    pub fn try_feed(&mut self, chunk: &[u8]) -> Result<TryFeed, ServiceError> {
-        self.try_feed_inner(chunk, true)
-    }
-
-    /// As [`try_feed`](Self::try_feed), but **leaves produced output in
-    /// the session**: `true` means the chunk was admitted, `false` means
-    /// the queue/budget is full. For drivers whose own downstream is
-    /// backed up (a client that stopped reading): feeding must continue
-    /// so the evaluator keeps running, but draining would just move the
-    /// unread response into the driver's buffers — undrained, the
-    /// session's output high-water/hard-cap machinery applies instead.
-    pub fn try_feed_undrained(&mut self, chunk: &[u8]) -> Result<bool, ServiceError> {
-        Ok(self.try_feed_inner(chunk, false)?.accepted())
-    }
-
-    fn try_feed_inner(&mut self, chunk: &[u8], drain: bool) -> Result<TryFeed, ServiceError> {
-        let result = {
+    /// the budget, and **leaves produced output in the session** — take
+    /// it with [`drain_into`](Self::drain_into). `Ok(true)` means the
+    /// chunk was admitted (or discarded because evaluation already
+    /// completed — one-shot semantics, matching `feed`); `Ok(false)`
+    /// means the input queue or budget is full and the chunk was **not**
+    /// admitted: re-offer it once the progress waker reports freed space.
+    /// This is the connection-loop shape of gcx-net, where a worker parks
+    /// a backpressured session and serves other connections instead of
+    /// blocking a thread on it. A driver whose own downstream is backed
+    /// up (a client that stopped reading) keeps feeding but stops
+    /// draining, so the session's output high-water/hard-cap machinery
+    /// applies instead of the response piling up in the driver.
+    pub fn try_feed(&mut self, chunk: &[u8]) -> Result<bool, ServiceError> {
+        let admitted = {
             let mut st = self.shared.lock();
-            let take = |st: &mut State| {
-                if drain {
-                    self.shared.take_output(st, &self.budget)
-                } else {
-                    Vec::new()
-                }
-            };
             if let Some(done) = &st.done {
                 if let Err(msg) = done {
                     return Err(ServiceError::Session(msg.clone()));
                 }
-                // Completed: drop the chunk (one-shot semantics), hand
-                // back whatever output is left.
-                let out = take(&mut st);
-                TryFeed::Fed(out)
+                true // completed: drop the chunk (one-shot semantics)
             } else if chunk.is_empty() {
-                let out = take(&mut st);
-                TryFeed::Fed(out)
+                true
             } else if st.input_bytes != 0 && st.input_bytes + chunk.len() > self.input_queue_bytes {
-                let out = take(&mut st);
-                TryFeed::Busy(out)
+                st.space_wanted = true;
+                false
             } else {
-                let admit = match &self.budget {
+                match &self.budget {
                     Some(b) if !b.try_reserve(chunk.len()) => {
-                        let out = take(&mut st);
                         if chunk.len() > b.limit() {
                             // Can never fit: retrying would livelock.
                             return Err(ServiceError::BudgetExceeded {
                                 requested: chunk.len(),
                                 used: b.used(),
                                 limit: b.limit(),
-                                drained: out,
+                                drained: Vec::new(),
                             });
                         }
-                        Some(TryFeed::Busy(out))
+                        st.space_wanted = true;
+                        false
                     }
-                    _ => None,
-                };
-                match admit {
-                    Some(busy) => busy,
-                    None => {
+                    _ => {
                         st.input_bytes += chunk.len();
                         st.input.push_back(chunk.to_vec());
                         self.shared.data_available.notify_all();
-                        let out = take(&mut st);
-                        TryFeed::Fed(out)
+                        true
                     }
                 }
             }
         };
-        // Admitted input and drained output both make a parked session
-        // runnable again.
+        // Admitted input makes a parked session runnable again.
         self.wake_evaluator();
-        Ok(result)
+        Ok(admitted)
     }
 
     /// Takes the output produced so far without feeding anything.
     pub fn drain(&mut self) -> Vec<u8> {
-        let out = {
+        let mut out = Vec::new();
+        self.drain_into(&mut out);
+        out
+    }
+
+    /// As [`drain`](Self::drain), into a caller-owned buffer: an empty
+    /// `dst` is swapped with the session's output buffer, a non-empty one
+    /// is appended to. A driver that drains into one reused buffer (and
+    /// empties it after each use) thus moves output without copying or
+    /// allocating. Returns the number of bytes moved.
+    pub fn drain_into(&mut self, dst: &mut Vec<u8>) -> usize {
+        let n = {
             let mut st = self.shared.lock();
-            self.shared.take_output(&mut st, &self.budget)
+            self.shared.take_output_into(&mut st, &self.budget, dst)
         };
-        if !out.is_empty() {
+        if n > 0 {
             // The gate may have reopened.
             self.wake_evaluator();
         }
-        out
+        n
     }
 
     /// True once the evaluator has terminated (successfully or not).
@@ -1346,7 +1383,7 @@ mod tests {
     fn try_feed_reports_busy_when_backpressured_and_recovers() {
         // Identity-ish query: output ≈ input, so an undrained consumer
         // closes the output gate quickly; the engine parks, the tiny
-        // input queue fills, and try_feed reports Busy without blocking.
+        // input queue fills, and try_feed refuses chunks without blocking.
         let (compiled, tags) = compile("<r>{ for $b in /bib/book return $b }</r>");
         let config = SessionConfig {
             input_queue_bytes: 64,
@@ -1368,7 +1405,7 @@ mod tests {
         let mut pending: Option<&[u8]> = None;
         // Phase 1: feed without draining until the session pushes back.
         for chunk in chunks.by_ref() {
-            if !session.try_feed_undrained(chunk).unwrap() {
+            if !session.try_feed(chunk).unwrap() {
                 saw_busy = true;
                 pending = Some(chunk);
                 break;
@@ -1378,16 +1415,12 @@ mod tests {
         // Phase 2: drain-and-re-offer until everything is through.
         let mut out = Vec::new();
         let offer = |session: &mut StreamSession, chunk: &[u8], out: &mut Vec<u8>| loop {
-            match session.try_feed(chunk).unwrap() {
-                TryFeed::Fed(o) => {
-                    out.extend_from_slice(&o);
-                    break;
-                }
-                TryFeed::Busy(o) => {
-                    out.extend_from_slice(&o);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
+            let admitted = session.try_feed(chunk).unwrap();
+            session.drain_into(out);
+            if admitted {
+                break;
             }
+            std::thread::sleep(std::time::Duration::from_millis(1));
         };
         if let Some(chunk) = pending {
             offer(&mut session, chunk, &mut out);
@@ -1661,6 +1694,92 @@ mod tests {
         assert_eq!(metrics.failed.get(), 1);
         assert_eq!(metrics.completed.get(), 0);
         assert_eq!(metrics.run.count(), 1, "failed runs still measured");
+    }
+
+    /// The copy query over a 1 MB XMark document: output is a third of
+    /// the input and consists of tens of thousands of tags. Progress
+    /// wakeups must scale with scheduler slices and staged output
+    /// volume, not with tags.
+    #[test]
+    fn progress_wakes_scale_with_slices_not_tags() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let copy = "<out>{ for $i in /site/regions//item return $i }</out>";
+        let doc = gcx_xmark::generate_string(gcx_xmark::XmarkConfig::with_target_bytes(1 << 20, 1));
+        let mut expected = Vec::new();
+        {
+            let (compiled, mut tags) = compile(copy);
+            gcx_core::run_gcx(&compiled, &mut tags, doc.as_bytes(), &mut expected).unwrap();
+        }
+        let pool = EvaluatorPool::new(1);
+        let wakes = Arc::new(AtomicU64::new(0));
+        let counter = wakes.clone();
+        let (compiled, tags) = compile(copy);
+        let config = SessionConfig {
+            pool: Some(pool.clone()),
+            progress_waker: Some(Arc::new(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+            })),
+            ..Default::default()
+        };
+        let mut session = StreamSession::new(compiled, tags, config);
+        let mut out = Vec::new();
+        for chunk in doc.as_bytes().chunks(64 * 1024) {
+            out.extend(session.feed_blocking(chunk).unwrap());
+        }
+        out.extend(session.finish().unwrap().output);
+        assert!(out == expected, "session output differs from run_gcx");
+        let slices = pool.steps();
+        pool.shutdown();
+        let wakes = wakes.load(Ordering::Relaxed);
+        let tags_out = out.iter().filter(|&&b| b == b'>').count() as u64;
+        let bound = 2 * slices + (out.len() / STAGE_FLUSH_BYTES) as u64 + 8;
+        assert!(
+            wakes <= bound,
+            "{wakes} wakes > bound {bound} ({slices} slices, {} B out, {tags_out} tags)",
+            out.len()
+        );
+        assert!(wakes * 10 < tags_out, "{wakes} wakes for {tags_out} tags");
+    }
+
+    /// `drain_into` swaps into an empty destination and appends to a
+    /// non-empty one; either way the bytes are the same.
+    #[test]
+    fn drain_into_matches_for_empty_and_non_empty_destinations() {
+        let query = "<r>{ for $b in /bib/book return $b }</r>";
+        let mut doc = String::from("<bib>");
+        for i in 0..300 {
+            doc.push_str(&format!("<book><title>Title {i}</title></book>"));
+        }
+        doc.push_str("</bib>");
+        let mut expected = Vec::new();
+        {
+            let (compiled, mut tags) = compile(query);
+            gcx_core::run_gcx(&compiled, &mut tags, doc.as_bytes(), &mut expected).unwrap();
+        }
+        for prefill in [false, true] {
+            let (compiled, tags) = compile(query);
+            let mut session = StreamSession::new(compiled, tags, SessionConfig::default());
+            let prefix: &[u8] = if prefill { b"prefix" } else { b"" };
+            let mut dst = prefix.to_vec();
+            let mut collected = Vec::new();
+            for chunk in doc.as_bytes().chunks(97) {
+                assert!(session.try_feed(chunk).unwrap());
+                session.drain_into(&mut dst);
+                if !prefill {
+                    // Empty it again, keeping the capacity: every drain
+                    // takes the swap path.
+                    collected.append(&mut dst);
+                }
+            }
+            let outcome = session.finish().unwrap();
+            collected.extend_from_slice(&dst);
+            collected.extend_from_slice(&outcome.output);
+            assert!(collected.starts_with(prefix));
+            assert!(
+                collected[prefix.len()..] == expected[..],
+                "prefill={prefill}: output differs"
+            );
+        }
     }
 
     #[test]
