@@ -7,25 +7,40 @@
 //! *allocations-per-event*, the metric the zero-allocation hot-path work
 //! is held to.
 //!
+//! [`allocations`] counts the whole process; a gate measuring work on its
+//! own thread reads [`thread_allocations`], which sibling threads (e.g.
+//! parallel tests) cannot disturb.
+//!
 //! The counters exist unconditionally so code can call [`allocations`]
 //! without `cfg` noise; without the feature they simply stay at zero
 //! (check [`enabled`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised, no destructor: the allocator may touch it.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 static FREES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Counting wrapper over the system allocator.
 pub struct CountingAllocator;
 
+#[inline]
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
 // SAFETY: delegates every operation to `System`, only bumping relaxed
-// atomic counters on the side.
+// atomic counters and a thread-local counter on the side.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
@@ -44,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc is one allocator round-trip (a grow counts against
         // the hot path exactly like a fresh allocation would).
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -59,6 +74,11 @@ pub fn enabled() -> bool {
 /// Total allocator acquisitions (alloc + alloc_zeroed + realloc) so far.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocator acquisitions made by the calling thread so far.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Total deallocations so far.

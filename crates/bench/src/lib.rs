@@ -239,7 +239,8 @@ pub fn measure_record(
 /// interner, and allocator round-trips are counted over the second copy
 /// only — by then the tag vocabulary is interned and every scratch
 /// buffer has reached its high-water capacity, so the expected count is
-/// exactly zero. Events are counted over the same stretch.
+/// exactly zero. Events are counted over the same stretch, and
+/// allocations on the calling thread only.
 pub fn lexer_steady_probe(doc: &[u8]) -> Result<report::LexerProbe, String> {
     use gcx_xml::XmlLexer;
     const OPEN: &[u8] = b"<gcx-probe>";
@@ -255,12 +256,12 @@ pub fn lexer_steady_probe(doc: &[u8]) -> Result<report::LexerProbe, String> {
         }
     }
     // Measured pass: identical input, warm everything.
-    let before = alloc_count::allocations();
+    let before = alloc_count::thread_allocations();
     let mut events = 0u64;
     while lexer.next_event().map_err(|e| e.to_string())?.is_some() {
         events += 1;
     }
-    let allocations = alloc_count::allocations() - before;
+    let allocations = alloc_count::thread_allocations() - before;
     Ok(report::LexerProbe {
         events,
         allocations,

@@ -18,7 +18,12 @@
 //! * Each node maintains `subtree_roles`/`subtree_pins` counters so the
 //!   irrelevance check is O(1).
 //! * Cursor *pins* keep nodes navigable while a for-loop iterates past
-//!   them; a pinned irrelevant node is marked and purged on unpin.
+//!   them; a pinned irrelevant node is marked and purged on unpin. A pin
+//!   counts only from the node up to its cursor's *base* (inclusive). This
+//!   is sound because the base is the root or itself pinned for as long
+//!   as the inner pin lives — it is the enclosing loop's mark — so every
+//!   node above the base already has a non-zero `subtree_pins`. Each pin
+//!   walks the nesting distance, not the depth to the root.
 //! * Aggregate roles (paper §6) are tracked per role id; removing the last
 //!   covering aggregate instance triggers a pruning sweep that restores
 //!   the exact purge timing of the non-aggregated scheme.

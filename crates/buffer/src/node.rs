@@ -121,7 +121,9 @@ struct Node {
     roles: RoleSet,
     /// Total role instances in this node's subtree (including itself).
     subtree_roles: u32,
-    /// Total pins in this node's subtree (including itself).
+    /// Pins in this node's subtree (including itself) whose base is this
+    /// node or above it (see [`BufferTree::pin`]); non-zero exactly when
+    /// some pin keeps the node navigable.
     subtree_pins: u32,
     /// Pins on this node (active evaluator cursors).
     pins: u32,
@@ -513,12 +515,24 @@ impl BufferTree {
         }
     }
 
-    fn bump_subtree_pins(&mut self, id: BufNodeId, delta: i32) {
-        let mut at = Some(id);
-        while let Some(x) = at {
-            let node = self.n_mut(x);
+    /// Adds `delta` to `subtree_pins` from `id` up to `base`, inclusive
+    /// (see [`Self::pin`] for the invariant on `base`).
+    fn bump_subtree_pins(&mut self, id: BufNodeId, base: BufNodeId, delta: i32) {
+        debug_assert!(
+            base == Self::ROOT || self.n(base).pins > 0,
+            "pin base {} is neither the root nor pinned",
+            base.0
+        );
+        let mut at = id;
+        loop {
+            let node = self.n_mut(at);
             node.subtree_pins = (node.subtree_pins as i64 + delta as i64) as u32;
-            at = node.parent;
+            if at == base {
+                return;
+            }
+            at = node
+                .parent
+                .expect("pin base is an ancestor of the pinned node");
         }
     }
 
@@ -703,22 +717,27 @@ impl BufferTree {
     // Pins (evaluator cursors)
     // ------------------------------------------------------------------
 
-    /// Pins `id`: it and its ancestors stay navigable until unpinned.
-    pub fn pin(&mut self, id: BufNodeId) {
+    /// Pins `id` under `base`: `id` and its ancestors stay navigable until
+    /// `unpin(id, base)`. The count propagates only from `id` up to
+    /// `base`, inclusive. Invariant: `base` is `id` or an ancestor of it
+    /// (checked), and is the root or pinned (debug-asserted) until this
+    /// pin is released — a cursor's base is the enclosing loop's mark or
+    /// the root, and a pinned base already keeps every node above it
+    /// relevant. Pass [`Self::ROOT`] for a free-standing pin.
+    pub fn pin(&mut self, id: BufNodeId, base: BufNodeId) {
         self.n_mut(id).pins += 1;
-        self.bump_subtree_pins(id, 1);
+        self.bump_subtree_pins(id, base, 1);
     }
 
-    /// Releases a pin; if the node became irrelevant while pinned, the
-    /// deferred purge runs now.
-    pub fn unpin(&mut self, id: BufNodeId) {
+    /// Releases a pin taken with [`Self::pin`] under the same `base`; if
+    /// the node became irrelevant while pinned, the deferred purge runs
+    /// now.
+    pub fn unpin(&mut self, id: BufNodeId, base: BufNodeId) {
         debug_assert!(self.n(id).pins > 0, "unbalanced unpin");
         self.n_mut(id).pins -= 1;
-        self.bump_subtree_pins(id, -1);
+        self.bump_subtree_pins(id, base, -1);
         if id != Self::ROOT && (self.n(id).marked || self.irrelevant(id)) && self.n(id).finished {
             self.gc_from(id);
-        } else if self.n(id).marked {
-            // Unfinished & marked: stays until its closing tag arrives.
         }
     }
 
@@ -1045,10 +1064,10 @@ mod tests {
         let n = b.open_element(BufferTree::ROOT, x).unwrap();
         b.add_role(n, Role(0));
         b.finish(n);
-        b.pin(n);
+        b.pin(n, BufferTree::ROOT);
         b.sign_off(n, Role(0), 1).unwrap();
         assert!(b.is_alive(n), "pinned node survives");
-        b.unpin(n);
+        b.unpin(n, BufferTree::ROOT);
         assert!(!b.is_alive(n), "purged on unpin");
     }
 
@@ -1062,10 +1081,10 @@ mod tests {
         b.add_role(n2, Role(0));
         b.finish(n2);
         b.finish(n1);
-        b.pin(n2);
+        b.pin(n2, BufferTree::ROOT);
         b.sign_off(n2, Role(0), 1).unwrap();
         assert!(b.is_alive(n1), "ancestors of pinned nodes survive");
-        b.unpin(n2);
+        b.unpin(n2, BufferTree::ROOT);
         assert!(!b.is_alive(n2));
         assert!(!b.is_alive(n1));
     }
@@ -1291,7 +1310,7 @@ mod tests {
         assert_eq!(b.text_arena_len(), 0);
         assert!(b.is_alive(empty));
         assert_eq!(b.text_content(empty), Some(""));
-        assert_eq!(b.string_value(keep), "");
+        assert_eq!(b.string_value_ref(keep, &mut String::new()), "");
     }
 
     #[test]

@@ -71,19 +71,29 @@ impl BufferTree {
         }
     }
 
-    /// The string value of a buffered node: concatenation of all text in
-    /// its subtree (XPath `string()`; needed for comparisons).
-    pub fn string_value(&self, id: BufNodeId) -> String {
-        let mut s = String::new();
-        self.collect_text(id, &mut s);
-        s
-    }
-
-    /// [`Self::string_value`] appended into a caller-provided (reusable)
-    /// string — the comparison hot path evaluates one of these per
-    /// condition per binding and must not allocate in steady state.
-    pub fn string_value_into(&self, id: BufNodeId, out: &mut String) {
-        self.collect_text(id, out);
+    /// The string value of a buffered node (XPath `string()`: all text in
+    /// its subtree). When that is one arena span — a text node, or an
+    /// element whose chain of only children ends in a text node — the span
+    /// is borrowed in place; otherwise the text is collected into
+    /// `scratch` (cleared first), which allocates only to grow it.
+    pub fn string_value_ref<'a>(&'a self, id: BufNodeId, scratch: &'a mut String) -> &'a str {
+        let mut at = id;
+        loop {
+            if self.is_marked(at) {
+                return "";
+            }
+            match self.kind(at) {
+                BufKind::Text(sp) => return self.span_str(*sp),
+                _ => match self.first_child(at) {
+                    None => return "",
+                    Some(c) if self.next_sibling(c).is_none() => at = c,
+                    Some(_) => break,
+                },
+            }
+        }
+        scratch.clear();
+        self.collect_text(at, scratch);
+        scratch
     }
 
     fn collect_text(&self, id: BufNodeId, out: &mut String) {
@@ -148,7 +158,37 @@ mod tests {
     #[test]
     fn string_value_concatenates() {
         let (b, _tags, n1) = build();
-        assert_eq!(b.string_value(n1), "T<&ext");
+        let mut scratch = String::new();
+        assert_eq!(b.string_value_ref(n1, &mut scratch), "T<&ext");
+        assert!(
+            scratch.is_empty(),
+            "a single text span is borrowed in place"
+        );
+    }
+
+    #[test]
+    fn string_value_collects_split_text_into_scratch() {
+        let mut tags = TagInterner::new();
+        let x = tags.intern("x");
+        let y = tags.intern("y");
+        let mut b = BufferTree::new(1, &[]);
+        let n = b.open_element(BufferTree::ROOT, x).unwrap();
+        b.add_role(n, Role(0));
+        for part in ["a", "b"] {
+            let t = b.add_text(n, part).unwrap();
+            b.add_role(t, Role(0));
+        }
+        let e = b.open_element(n, y).unwrap();
+        b.add_role(e, Role(0));
+        let t = b.add_text(e, "c").unwrap();
+        b.add_role(t, Role(0));
+        let empty = b.open_element(n, y).unwrap();
+        b.add_role(empty, Role(0));
+        let mut scratch = String::from("stale");
+        assert_eq!(b.string_value_ref(n, &mut scratch), "abc");
+        assert_eq!(scratch, "abc");
+        assert_eq!(b.string_value_ref(e, &mut scratch), "c");
+        assert_eq!(b.string_value_ref(empty, &mut scratch), "");
     }
 
     #[test]
@@ -161,12 +201,12 @@ mod tests {
         b.add_role(n1, Role(0));
         let dead = b.open_element(n1, y).unwrap();
         b.add_role(dead, Role(1));
-        b.pin(dead); // keep it navigable
+        b.pin(dead, BufferTree::ROOT); // keep it navigable
         b.finish(dead);
         b.sign_off(dead, Role(1), 1).unwrap();
         // dead is pinned: not purged, not marked (pins block gc) — unpin
         // purges it.
-        b.unpin(dead);
+        b.unpin(dead, BufferTree::ROOT);
         b.finish(n1);
         let mut toks = Vec::new();
         b.subtree_tokens(n1, &mut toks);

@@ -153,7 +153,7 @@ fn pins_during_teardown() {
             )
             .copied();
         if let Some(p) = pinned {
-            b.pin(ids[p]);
+            b.pin(ids[p], BufferTree::ROOT);
         }
         for (i, (_, roles)) in w.nodes.iter().enumerate() {
             if !b.is_alive(ids[i]) {
@@ -165,9 +165,103 @@ fn pins_during_teardown() {
         }
         if let Some(p) = pinned {
             assert!(b.is_alive(ids[p]), "pinned node survives");
-            b.unpin(ids[p]);
+            b.unpin(ids[p], BufferTree::ROOT);
         }
         assert!(b.all_roles_returned());
+        assert_eq!(b.stats().live_nodes, 1, "seed {seed}");
+    }
+}
+
+/// Base-bounded pins, the way nested for-loop cursors take them: a chain
+/// pins a node under the root, a descendant of it under that node, and a
+/// descendant of *that* under the second — each pin counts only up to its
+/// base. Sign-offs run in random order with chains unwinding innermost
+/// first at random points. Every pinned node and its ancestors stay alive
+/// until unpinned, and after the last unpin only the root survives.
+#[test]
+fn nested_base_bounded_pins_during_teardown() {
+    for seed in 0..300u64 {
+        let w = random_workload(seed);
+        let mut tags = TagInterner::new();
+        let mut b = BufferTree::new(w.role_count, &[]);
+        let ids = build(&w, &mut b, &mut tags);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
+        let is_ancestor = |anc: usize, mut i: usize| {
+            while let Some(p) = w.nodes[i].0 {
+                if p == anc {
+                    return true;
+                }
+                i = p;
+            }
+            false
+        };
+        let alive: Vec<usize> = (0..w.nodes.len()).filter(|&i| b.is_alive(ids[i])).collect();
+        // Each chain is a stack of (node, base) pins, outermost first.
+        let mut chains: Vec<Vec<(BufNodeId, BufNodeId)>> = Vec::new();
+        for _ in 0..rng.random_range(0..4usize) {
+            if alive.is_empty() {
+                break;
+            }
+            let mut chain = Vec::new();
+            let mut at = alive[rng.random_range(0..alive.len())];
+            let mut base = BufferTree::ROOT;
+            for depth in 0..3 {
+                b.pin(ids[at], base);
+                chain.push((ids[at], base));
+                let below: Vec<usize> = alive
+                    .iter()
+                    .copied()
+                    .filter(|&j| is_ancestor(at, j))
+                    .collect();
+                if below.is_empty() || depth == 2 {
+                    break;
+                }
+                base = ids[at];
+                at = below[rng.random_range(0..below.len())];
+            }
+            chains.push(chain);
+        }
+        let mut pending: Vec<(usize, Role)> = alive
+            .iter()
+            .flat_map(|&i| w.nodes[i].1.iter().map(move |&r| (i, r)))
+            .collect();
+        for i in (1..pending.len()).rev() {
+            let j = rng.random_range(0..=i);
+            pending.swap(i, j);
+        }
+        let check_pinned = |b: &BufferTree, chains: &[Vec<(BufNodeId, BufNodeId)>]| {
+            for &(id, _) in chains.iter().flatten() {
+                let mut at = Some(id);
+                while let Some(x) = at {
+                    assert!(
+                        b.is_alive(x),
+                        "pinned node or ancestor purged (seed {seed})"
+                    );
+                    at = b.parent(x);
+                }
+            }
+        };
+        for (i, r) in pending {
+            b.sign_off(ids[i], r, 1).expect("defined removal");
+            check_pinned(&b, &chains);
+            if !chains.is_empty() && rng.random_bool(0.3) {
+                let c = rng.random_range(0..chains.len());
+                let (id, base) = chains[c].pop().expect("chains are non-empty");
+                b.unpin(id, base);
+                if chains[c].is_empty() {
+                    chains.swap_remove(c);
+                }
+                check_pinned(&b, &chains);
+            }
+        }
+        while let Some(mut chain) = chains.pop() {
+            while let Some((id, base)) = chain.pop() {
+                assert!(b.is_alive(id), "pinned node survives (seed {seed})");
+                b.unpin(id, base);
+            }
+            check_pinned(&b, &chains);
+        }
+        assert!(b.all_roles_returned(), "seed {seed}");
         assert_eq!(b.stats().live_nodes, 1, "seed {seed}");
     }
 }

@@ -285,12 +285,16 @@ pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
     /// Request-scoped flight recorder + trace ID (emit spans; the pump
     /// stages record in the projector, buffer events in the buffer).
     flight: Option<(Arc<gcx_obs::FlightRecorder>, u64)>,
-    /// Reusable scratch (see "Evaluator allocation discipline" below):
-    /// nodes matched by a comparison step, a node's string value, and the
-    /// signOff path frontier/next sets. Taken/restored around use so the
-    /// borrow checker allows buffer access in between; capacities stick.
+    /// Reusable scratch: the matches of a comparison's left/right step and
+    /// the signOff path frontier/next sets, taken/restored around use so
+    /// the borrow checker allows buffer access in between; capacities
+    /// stick. Comparisons borrow string values from the buffer's text
+    /// arena ([`BufferTree::string_value_ref`]); `cmp_text`/`cmp_rtext`
+    /// hold a left/right value only when it spans several text nodes.
     cmp_nodes: Vec<BufNodeId>,
+    cmp_rnodes: Vec<BufNodeId>,
     cmp_text: String,
+    cmp_rtext: String,
     path_frontier: Vec<(BufNodeId, u32)>,
     path_next: Vec<(BufNodeId, u32)>,
     /// The explicit evaluation stack (see [`Frame`]): empty before the
@@ -341,7 +345,9 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             emit_tick: 0,
             flight: None,
             cmp_nodes: Vec::new(),
+            cmp_rnodes: Vec::new(),
             cmp_text: String::new(),
+            cmp_rtext: String::new(),
             path_frontier: Vec::new(),
             path_next: Vec::new(),
             frames: Vec::new(),
@@ -693,9 +699,9 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             };
             match candidate {
                 Some(n) => {
-                    self.buffer.pin(n);
+                    self.buffer.pin(n, c.base);
                     if let Some(m) = c.mark {
-                        self.buffer.unpin(m);
+                        self.buffer.unpin(m, c.base);
                     }
                     c.mark = Some(n);
                     if self.node_matches(n, c.step.test) {
@@ -724,7 +730,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// Releases a cursor's pin early (used by exists-checks).
     fn cursor_abort(&mut self, c: &mut Cursor) {
         if let Some(m) = c.mark.take() {
-            self.buffer.unpin(m);
+            self.buffer.unpin(m, c.base);
         }
         c.done = true;
     }
@@ -1103,10 +1109,12 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         }
     }
 
-    /// `$x/π op "literal"` over a *finished* base. Hot path (every
-    /// binding of a conditioned for-loop runs this): match nodes and
-    /// string values go through the engine's reusable scratch, not
-    /// fresh allocations.
+    /// `$x/π op "literal"` over a *finished* base (existential: true once
+    /// some match, in document order, satisfies `op`). Hot path (every
+    /// binding of a conditioned for-loop runs this), so it allocates
+    /// nothing in steady state: matches land in `cmp_nodes` and string
+    /// values are borrowed via [`BufferTree::string_value_ref`], copied
+    /// into `cmp_text` only when they span several text nodes.
     fn cmp_str_commit(
         &mut self,
         base: BufNodeId,
@@ -1117,23 +1125,23 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         let mut matches = std::mem::take(&mut self.cmp_nodes);
         matches.clear();
         self.collect_matches_into(base, step, &mut matches);
-        let mut text = std::mem::take(&mut self.cmp_text);
-        let mut found = false;
-        for &n in &matches {
-            text.clear();
-            self.buffer.string_value_into(n, &mut text);
-            if compare_values(&text, value, op) {
-                found = true;
-                break;
-            }
-        }
-        self.cmp_text = text;
+        let found = matches.iter().any(|&n| {
+            compare_values(
+                self.buffer.string_value_ref(n, &mut self.cmp_text),
+                value,
+                op,
+            )
+        });
         self.cmp_nodes = matches;
         found
     }
 
-    /// `$x/π op $y/ρ` over two *finished* bases (existential
-    /// comparison semantics).
+    /// `$x/π op $y/ρ` over two *finished* bases (existential: true once
+    /// some right match satisfies `op` against some left match, both in
+    /// document order). The nested-loop join's inner step, allocation-free
+    /// like [`Self::cmp_str_commit`], with match sets in
+    /// `cmp_nodes`/`cmp_rnodes` and `cmp_text`/`cmp_rtext` for multi-span
+    /// values. Left values are re-borrowed per right match.
     fn cmp_var_commit(
         &mut self,
         lbase: BufNodeId,
@@ -1142,24 +1150,23 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         rbase: BufNodeId,
         right_step: Step,
     ) -> bool {
-        let mut lnodes = Vec::new();
-        self.collect_matches_into(lbase, left_step, &mut lnodes);
-        let left: Vec<String> = lnodes
-            .iter()
-            .map(|&n| self.buffer.string_value(n))
-            .collect();
-        if left.is_empty() {
-            return false;
+        let mut left = std::mem::take(&mut self.cmp_nodes);
+        let mut right = std::mem::take(&mut self.cmp_rnodes);
+        left.clear();
+        right.clear();
+        self.collect_matches_into(lbase, left_step, &mut left);
+        if !left.is_empty() {
+            self.collect_matches_into(rbase, right_step, &mut right);
         }
-        let mut right = Vec::new();
-        self.collect_matches_into(rbase, right_step, &mut right);
-        for &rn in &right {
-            let rv = self.buffer.string_value(rn);
-            if left.iter().any(|lv| compare_values(lv, &rv, op)) {
-                return true;
-            }
-        }
-        false
+        let found = right.iter().any(|&rn| {
+            let rv = self.buffer.string_value_ref(rn, &mut self.cmp_rtext);
+            left.iter().any(|&ln| {
+                compare_values(self.buffer.string_value_ref(ln, &mut self.cmp_text), rv, op)
+            })
+        });
+        self.cmp_nodes = left;
+        self.cmp_rnodes = right;
+        found
     }
 
     /// Collects all buffered matches of `step` under a *finished* base (no

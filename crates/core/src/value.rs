@@ -2,19 +2,20 @@
 //!
 //! The fragment compares string values of nodes (paper Fig. 6:
 //! `var/axis::ν RelOp string`). Following XPath 1.0 practice — and because
-//! the XMark queries compare prices and incomes — operands that both parse
-//! as numbers are compared numerically; otherwise lexicographically.
+//! the XMark queries compare prices and incomes — operands that are both
+//! XPath 1.0 numerals, `S? '-'? (Digits ('.' Digits?)? | '.' Digits) S?`
+//! with `Digits ::= [0-9]+` and `S` XML whitespace, are compared
+//! numerically; otherwise lexicographically. `NaN`, `inf`, `Infinity`,
+//! `1e3` and `+5` are strings, although Rust's `f64` parser accepts them.
 //! Comparisons over node sets are existential: `$x/p = "v"` holds when
 //! *some* matched node's string value satisfies the relation.
 
 use gcx_query::RelOp;
 
 /// Compares two string values under `op`, numerically when both sides
-/// parse as `f64`.
+/// are numerals (module docs).
 pub fn compare_values(left: &str, right: &str, op: RelOp) -> bool {
-    let lt = left.trim();
-    let rt = right.trim();
-    if let (Ok(a), Ok(b)) = (lt.parse::<f64>(), rt.parse::<f64>()) {
+    if let (Some(a), Some(b)) = (numeral(left), numeral(right)) {
         return match op {
             RelOp::Le => a <= b,
             RelOp::Lt => a < b,
@@ -32,6 +33,17 @@ pub fn compare_values(left: &str, right: &str, op: RelOp) -> bool {
         RelOp::Ge => left >= right,
         RelOp::Gt => left > right,
     }
+}
+
+/// The value of an XPath 1.0 numeral (module docs), `None` otherwise.
+fn numeral(s: &str) -> Option<f64> {
+    let t = s.trim_matches(|c| matches!(c, ' ' | '\t' | '\r' | '\n'));
+    let body = t.strip_prefix('-').unwrap_or(t).as_bytes();
+    // Digits and at most one '.', with at least one digit.
+    let dots = body.iter().filter(|&&b| b == b'.').count();
+    let ok =
+        dots <= 1 && body.len() > dots && body.iter().all(|&b| b.is_ascii_digit() || b == b'.');
+    ok.then(|| t.parse().ok()).flatten()
 }
 
 #[cfg(test)]
@@ -52,6 +64,44 @@ mod tests {
         assert!(compare_values("abc", "abd", RelOp::Lt));
         assert!(compare_values("person0", "person0", RelOp::Eq));
         assert!(compare_values("a", "b", RelOp::Ne));
+    }
+
+    #[test]
+    fn numeral_forms() {
+        assert!(compare_values("5.", "5", RelOp::Eq));
+        assert!(compare_values(".5", "0.5", RelOp::Eq));
+        assert!(compare_values("-.5", "-0.5", RelOp::Eq));
+        assert!(compare_values("\t-3\n", "-3.0", RelOp::Eq));
+        assert!(compare_values("-0", "0", RelOp::Eq));
+        assert!(!compare_values(".", ".", RelOp::Ne), "`.` is a string");
+        assert!(!compare_values("-", "-", RelOp::Ne), "`-` is a string");
+    }
+
+    #[test]
+    fn nan_is_a_string() {
+        assert!(compare_values("NaN", "NaN", RelOp::Eq));
+        assert!(!compare_values("NaN", "NaN", RelOp::Ne));
+        assert!(compare_values("nan", "NaN", RelOp::Gt), "lexicographic");
+    }
+
+    #[test]
+    fn infinities_are_strings() {
+        assert!(!compare_values("inf", "Infinity", RelOp::Eq));
+        assert!(!compare_values("-inf", "-infinity", RelOp::Eq));
+        assert!(compare_values("inf", "Infinity", RelOp::Ne));
+    }
+
+    #[test]
+    fn exponents_are_strings() {
+        assert!(!compare_values("1e3", "1000", RelOp::Eq));
+        assert!(compare_values("1e3", "1000", RelOp::Gt), "lexicographic");
+        assert!(!compare_values("2.5E1", "25", RelOp::Eq));
+    }
+
+    #[test]
+    fn plus_sign_is_a_string() {
+        assert!(!compare_values("+5", "5", RelOp::Eq));
+        assert!(compare_values("+5", "5", RelOp::Lt), "'+' sorts before '5'");
     }
 
     #[test]

@@ -83,6 +83,22 @@ const DOC_PEOPLE: &str = "<db>\
     <sale><buyer>2</buyer><sum>30</sum></sale>\
 </db>";
 
+/// Join inputs where string values are not one plain text node.
+const DOC_JOIN_EDGES: &str = "<db>\
+    <person><id>1</id><id>3</id><name>Ann</name></person>\
+    <person><id>2<!--c-->5</id><name>Bob</name></person>\
+    <person><id><![CDATA[4]]>&amp;</id><name>Cy</name></person>\
+    <person><id>6<x/>7</id><name>Di</name></person>\
+    <person><id><k>8</k>9</id><name>Ed</name></person>\
+    <person><id/><name>Flo</name></person>\
+    <person><name>Gus</name></person>\
+    <sale><buyer>3</buyer><buyer>25</buyer><sum>10</sum></sale>\
+    <sale><buyer>4&amp;</buyer><sum>20</sum></sale>\
+    <sale><buyer>6<!---->7</buyer><buyer>8<y/>9</buyer><sum>30</sum></sale>\
+    <sale><buyer></buyer><sum>40</sum></sale>\
+    <sale><buyer>0</buyer><sum>8</sum></sale>\
+</db>";
+
 #[test]
 fn child_axis_outputs() {
     check_all("<r>{ for $b in /bib/book return $b/title }</r>", DOC_BIB);
@@ -136,6 +152,79 @@ fn joins() {
         r#"<r>{ for $s in /db/sale return for $p in /db/person return
             if ($p/id = $s/buyer) then <pair>{ $p/name }</pair> else () }</r>"#,
         DOC_PEOPLE,
+    );
+    // Multi-valued sides on both left and right, text merged across a
+    // comment, CDATA and an entity, text split by child elements (the
+    // multi-span string values), and empty elements.
+    let row_join = r#"<r>{ for $p in /db/person return
+        <row>{ ($p/name, for $s in /db/sale return
+            if ($s/buyer = $p/id) then $s/sum else ()) }</row> }</r>"#;
+    assert_eq!(
+        check_all(row_join, DOC_JOIN_EDGES),
+        "<r><row><name>Ann</name><sum>10</sum></row>\
+         <row><name>Bob</name><sum>10</sum></row>\
+         <row><name>Cy</name><sum>20</sum></row>\
+         <row><name>Di</name><sum>30</sum></row>\
+         <row><name>Ed</name><sum>30</sum></row>\
+         <row><name>Flo</name><sum>40</sum></row>\
+         <row><name>Gus</name></row></r>"
+    );
+    check_all(
+        r#"<r>{ for $s in /db/sale return for $p in /db/person return
+            if ($p/id < $s/buyer) then <lt>{ ($p/name, $s/sum) }</lt> else () }</r>"#,
+        DOC_JOIN_EDGES,
+    );
+    // A descendant-axis step on both sides of the comparison.
+    check_all(
+        r#"<r>{ for $p in /db/person return for $s in /db/sale return
+            if ($s//buyer = $p//id) then <pair>{ ($p/name, $s/sum) }</pair> else () }</r>"#,
+        DOC_JOIN_EDGES,
+    );
+    check_all(
+        r#"<r>{ for $p in $root/db return for $s in /db/sale return
+            if ($p//k = $s/sum) then $s else () }</r>"#,
+        DOC_JOIN_EDGES,
+    );
+}
+
+/// Q8, the paper's nested-loop join, evaluated one frame per `step`:
+/// every suspension lands inside the join's cursors and comparisons, and
+/// the output must still equal the in-memory oracle's byte for byte.
+#[test]
+fn xmark_q8_at_step_budget_one_matches_dom() {
+    use gcx::core::StepOutcome;
+    let doc = gcx::xmark::generate_string(gcx::xmark::XmarkConfig {
+        seed: 7,
+        scale: 0.05,
+    });
+    let mut tags = TagInterner::new();
+    let compiled = gcx::compile_default(gcx::xmark::Q8, &mut tags).unwrap();
+    let mut expected = Vec::new();
+    gcx::run_dom(&compiled, &mut tags, doc.as_bytes(), &mut expected).unwrap();
+    let mut out = Vec::new();
+    let mut engine = gcx::GcxEngine::new(
+        &compiled,
+        &mut tags,
+        doc.as_bytes(),
+        &mut out,
+        gcx::EngineOptions::default(),
+    );
+    let report = loop {
+        match engine.step(1) {
+            StepOutcome::Yielded => {}
+            StepOutcome::Finished(r) => break r,
+            other => panic!("unexpected step outcome: {other:?}"),
+        }
+    };
+    drop(engine);
+    assert_eq!(report.safety, Some(true));
+    assert!(
+        expected.windows(7).any(|w| w == b"<price>"),
+        "the join matched nothing; the document is too small to test it"
+    );
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        String::from_utf8(expected).unwrap()
     );
 }
 
@@ -207,6 +296,30 @@ fn numeric_vs_string_comparisons() {
     check_all(
         r#"<r>{ for $v in /l/v return if ($v/text() = "02") then $v else () }</r>"#,
         doc,
+    );
+}
+
+/// Only XPath 1.0 numerals compare numerically: Rust's float grammar
+/// (`NaN`, `inf`, exponents, a leading `+`) compares as strings.
+#[test]
+fn only_xpath_numerals_compare_numerically() {
+    let doc = "<l><v>NaN</v><v>inf</v><v>1e3</v><v>+5</v><v>5.0</v>\
+               <p><a>NaN</a><b>NaN</b></p></l>";
+    assert_eq!(
+        check_all(
+            r#"<r>{ for $v in /l/v return
+                if ($v/text() = "NaN" or $v/text() = "Infinity" or
+                    $v/text() = "1000" or $v/text() = "5") then $v else () }</r>"#,
+            doc,
+        ),
+        "<r><v>NaN</v><v>5.0</v></r>"
+    );
+    assert_eq!(
+        check_all(
+            "<r>{ for $p in /l/p return if ($p/a != $p/b) then <ne/> else <eq/> }</r>",
+            doc,
+        ),
+        "<r><eq></eq></r>"
     );
 }
 
